@@ -31,7 +31,13 @@ class TaskGroup
     /** Bind to the runtime that will execute the tasks. */
     explicit TaskGroup(Runtime &rt) : rt_(rt) {}
 
-    /** All tasks must be awaited before destruction. */
+    /**
+     * All tasks must be awaited before destruction. The group may be
+     * destroyed as soon as wait() returns: once it has, no task of
+     * the group touches the group again (finish() completes its last
+     * access before any waiter can return), so a stack-resident
+     * group can go out of scope and a new one reuse its storage.
+     */
     ~TaskGroup();
 
     TaskGroup(const TaskGroup &) = delete;
@@ -50,8 +56,10 @@ class TaskGroup
     /**
      * Wait until every spawned task has completed. Worker threads
      * help execute pending work while waiting; external threads
-     * block. Rethrows the first exception thrown by any task in this
-     * group.
+     * block. Either way, after observing completion the waiter
+     * acquires the group's mutex once, which orders it after the
+     * last finish(). Rethrows the first exception thrown by any task
+     * in this group.
      */
     void wait();
 
@@ -70,14 +78,17 @@ class TaskGroup
         pending_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    /** Mark one task complete; wakes external waiters at zero. */
+    /**
+     * Mark one task complete; wakes external waiters at zero.
+     * Decrements that leave tasks pending are lock-free; the one
+     * that reaches zero happens under the mutex together with the
+     * notify. When a waiter's wait() returns, finish() has made its
+     * last access to the group.
+     */
     void finish();
 
     /** Record the first exception observed in this group. */
     void recordException(std::exception_ptr error);
-
-    /** Rethrow a recorded exception, if any. */
-    void rethrowIfError();
 
     Runtime &rt_;
     std::atomic<long> pending_{0};

@@ -8,6 +8,7 @@
 
 #include "runtime/scheduler.hpp"
 #include "runtime/task_group.hpp"
+#include "util/time.hpp"
 
 using namespace hermes;
 using runtime::Runtime;
@@ -25,6 +26,28 @@ sharedRuntime()
         return cfg;
     }());
     return rt;
+}
+
+void
+spinMicros(double us)
+{
+    const double end = util::nowSeconds() + us * 1e-6;
+    while (util::nowSeconds() < end) {
+    }
+}
+
+/** Spawn `n` short spinning tasks into `g`: long enough that idle
+ * workers steal some, short enough that the last one to finish
+ * usually completes right as the waiter polls. */
+void
+spawnSpinners(TaskGroup &g, int n, std::atomic<long> &done)
+{
+    for (int i = 0; i < n; ++i) {
+        g.run([&done] {
+            spinMicros(1.0);
+            done.fetch_add(1, std::memory_order_relaxed);
+        });
+    }
 }
 
 } // namespace
@@ -101,6 +124,57 @@ TEST(TaskGroup, WorkerWaitHelpsExecuteOtherTasks)
         g.wait();
     });
     EXPECT_EQ(n.load(), 200);
+}
+
+TEST(TaskGroup, GroupMayDieAsSoonAsWaitReturns)
+{
+    // Regression for the completion race: a finisher that dropped
+    // pending_ to zero before it locked and notified the group let a
+    // waiter return and destroy the group first, so the finisher
+    // then locked and notified a dead mutex and condvar. Every group
+    // here lives on its waiter's stack and dies the moment wait()
+    // returns, after which that stack is reused (the next group, or
+    // the worker's own scheduling loop). Waiters run on a worker
+    // (inside rt.run), on external threads, and in the deleter of
+    // submit handles dropped without a wait, all concurrently.
+    auto &rt = sharedRuntime();
+    constexpr int kBursts = 4000;
+    constexpr int kGroupsPerBurst = 2;
+    constexpr int kTasks = 32;
+    constexpr int kExternalGroups = 2000;
+    constexpr int kDroppedHandles = 2000;
+    std::atomic<long> done{0};
+
+    std::thread external([&] {
+        for (int i = 0; i < kExternalGroups; ++i) {
+            TaskGroup g(rt);
+            spawnSpinners(g, kTasks, done);
+            g.wait();
+        }
+    });
+    std::thread dropper([&] {
+        for (int i = 0; i < kDroppedHandles; ++i) {
+            rt.submit([&done] {
+                spinMicros(1.0);
+                done.fetch_add(1, std::memory_order_relaxed);
+            });
+        }
+    });
+    for (int b = 0; b < kBursts; ++b) {
+        rt.run([&] {
+            for (int r = 0; r < kGroupsPerBurst; ++r) {
+                TaskGroup g(rt);
+                spawnSpinners(g, kTasks, done);
+                g.wait();
+            }
+        });
+    }
+    external.join();
+    dropper.join();
+
+    EXPECT_EQ(done.load(),
+              long{kBursts} * kGroupsPerBurst * kTasks
+                  + long{kExternalGroups} * kTasks + kDroppedHandles);
 }
 
 TEST(SubmitHandle, WaitRethrowsOnceThenIsClean)
